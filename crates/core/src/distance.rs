@@ -31,8 +31,8 @@ use crate::types::{Asid, Distance, Pc, VirtPage};
 ///
 /// The paper indexes by the distance alone; §2.5 and §4 float indexing
 /// by PC + distance and by "a set of consecutive distances" as future
-/// work. Both are implemented as optional modes and evaluated in the
-/// ablation benches.
+/// work. Both are implemented as optional modes, covered by this
+/// module's tests and the suite-wide extension tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IndexMode {
     DistanceOnly,

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use tlbsim_core::{
-    Associativity, CandidateBuf, Distance, MissContext, Pc, PredictionTable, PrefetcherConfig,
-    PrefetcherKind, SlotList, VirtPage,
+    Associativity, CandidateBuf, ConfidenceConfig, Distance, MissContext, Pc, PredictionTable,
+    PrefetcherConfig, PrefetcherKind, SlotList, VirtPage,
 };
 
 /// Strategy for valid (rows, associativity) geometries.
@@ -24,6 +24,26 @@ fn any_kind() -> impl Strategy<Value = PrefetcherKind> {
         Just(PrefetcherKind::Markov),
         Just(PrefetcherKind::Recency),
         Just(PrefetcherKind::Distance),
+    ]
+}
+
+/// Strategy over whole configurations: the five base kinds plus the
+/// adaptive families — trend-vote stride at any legal window, a
+/// two-component set-dueling ensemble and a confidence-wrapped base.
+fn any_config() -> impl Strategy<Value = PrefetcherConfig> {
+    prop_oneof![
+        any_kind().prop_map(PrefetcherConfig::new),
+        (2usize..=16).prop_map(|window| {
+            let mut cfg = PrefetcherConfig::trend_stride();
+            cfg.window(window);
+            cfg
+        }),
+        (any_kind(), any_kind()).prop_map(|(a, b)| PrefetcherConfig::ensemble_of(&[a, b])),
+        any_kind().prop_map(|kind| {
+            let mut cfg = PrefetcherConfig::new(kind);
+            cfg.confidence(ConfidenceConfig::adaptive());
+            cfg
+        }),
     ]
 }
 
@@ -115,11 +135,11 @@ proptest! {
     /// observes exactly what a fresh `decide()` per miss observes.
     #[test]
     fn reused_sink_matches_fresh_decisions(
-        kind in any_kind(),
+        config in any_config(),
         pages in prop::collection::vec(0u64..500, 1..150),
     ) {
-        let mut via_sink = PrefetcherConfig::new(kind).build().unwrap();
-        let mut via_decide = PrefetcherConfig::new(kind).build().unwrap();
+        let mut via_sink = config.build().unwrap();
+        let mut via_decide = config.build().unwrap();
         let mut sink = CandidateBuf::new();
         for (i, page) in pages.iter().enumerate() {
             let ctx = MissContext {

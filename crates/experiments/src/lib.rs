@@ -16,7 +16,6 @@
 //! | [`mix`] | §4 outlook | multiprogrammed interleaves (`xp mix`): scheme sweep with context switches and per-stream attribution |
 //! | [`health`] | (robustness) | trace damage census (`xp check`) and deterministic fault baking (`xp chaos`) |
 //! | [`tracestat`] | (corpus tooling) | per-file trace summary (`xp tracestat`): records, kind mix, page footprint, v2 compression, damage census |
-//! | [`throughput`] | (telemetry) | simulator accesses/sec per scheme + DP miss-path microbench + trace replay + multiprogram interleave |
 //!
 //! Every module exposes `run(scale) -> Result<Data, SimError>` plus
 //! `render()` (aligned text, paper values alongside where applicable)
@@ -30,7 +29,6 @@
 //! xp mix --streams galgel.tlbt,mcf,perl4 --quantum 50000 --flush-on-switch
 //! xp check --trace galgel.tlbt --quarantine 100
 //! xp chaos --trace galgel.tlbt --out damaged.tlbt --seed 42 --corrupt 7
-//! xp bench-json            # writes BENCH_throughput.json
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +46,6 @@ mod report;
 pub mod table1;
 pub mod table2;
 pub mod table3;
-pub mod throughput;
 pub mod tracestat;
 
 pub use grid::{

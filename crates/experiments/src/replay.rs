@@ -161,8 +161,8 @@ pub fn record_with_format(
     Ok(summary)
 }
 
-/// [`record`] with the spec already resolved (also used by the bench
-/// fixtures).
+/// [`record`] with the spec already resolved (also used by the
+/// benchmark's trace recorder).
 pub fn record_spec(
     spec: &AppSpec,
     scale: Scale,

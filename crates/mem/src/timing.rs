@@ -4,7 +4,7 @@
 //! detail") runs sim-outorder with a 4-wide issue, charges a constant 100
 //! cycles per unhidden TLB miss, and services prefetch/state-maintenance
 //! operations from main memory at 50 cycles each. [`TimingParams`]
-//! centralises those constants so the timing engine, the benches and the
+//! centralises those constants so the timing engine, the benchmark and the
 //! tests agree on them.
 
 use serde::{Deserialize, Serialize};

@@ -18,7 +18,7 @@
 //! | [`workloads`] | `tlbsim-workloads` | the 56-application synthetic suite |
 //! | [`sim`] | `tlbsim-sim` | functional and timing simulation engines |
 //! | [`service`] | `tlbsim-service` | simulation daemon, wire protocol and client |
-//! | [`experiments`] | `tlbsim-experiments` | Table 1–3 / Figure 7–9 regeneration + throughput telemetry |
+//! | [`experiments`] | `tlbsim-experiments` | Table 1–3 / Figure 7–9 regeneration, trace and serving drivers |
 //!
 //! ## The zero-allocation miss path
 //!
@@ -36,10 +36,10 @@
 //!   batch buffer for their whole lifetime;
 //! * the parallel [`sim::sweep`] executor recycles one engine per worker
 //!   thread across jobs ([`sim::Engine::try_recycle`]);
-//! * the `zero_alloc` integration test in `tlbsim-sim` pins the
-//!   guarantee with a counting global allocator, and
-//!   `xp bench-json` snapshots accesses/sec per scheme into
-//!   `BENCH_throughput.json` for a PR-over-PR perf trajectory.
+//! * the `zero_alloc` integration tests in `tlbsim-sim` and
+//!   `tlbsim-service` pin the guarantee with a counting global
+//!   allocator, and the repository benchmark (`perfbench/`, declared by
+//!   `BENCHMARK.json`) measures accesses/sec and per-layer costs.
 //!
 //! ## Sharded execution
 //!
@@ -52,8 +52,8 @@
 //! per-shard [`sim::SimStats`] merge deterministically with a
 //! footprint union plus a prefetch-buffer boundary-reconciliation
 //! counter. One shard is bit-identical to the sequential path; the
-//! `sharded_run` bench group gates ≥ 2× throughput at 4 shards on
-//! multi-core hosts, and `xp --shards N` drives the figure-scale
+//! benchmark reports the sharded-vs-sequential scaling as
+//! `sim.shard_speedup`, and `xp --shards N` drives the figure-scale
 //! accuracy grids through the sharded path.
 //!
 //! ## Trace-driven execution
@@ -70,8 +70,8 @@
 //! worker's cursor in O(1) because records are fixed 17-byte cells.
 //! `xp record` / `xp replay` drive it from the command line, the
 //! differential harness in `tests/trace_replay.rs` pins replayed
-//! statistics bit-identical to generator runs, and the `trace_replay`
-//! bench group gates replay at ≥ 0.8× generator throughput. The byte
+//! statistics bit-identical to generator runs, and the benchmark's
+//! `replay` workload measures streamed v2 replay throughput. The byte
 //! format is specified normatively in `docs/TRACE_FORMAT.md`.
 //!
 //! ## Multiprogrammed execution
@@ -85,8 +85,8 @@
 //! additionally flush translation + prediction state at context
 //! switches and attribute hits/misses/prefetch outcomes per stream
 //! ([`sim::SimStats::per_stream`]). `xp mix` sweeps the 30-scheme grid
-//! over an interleave, and the `multiprogram` bench group gates
-//! interleaved execution at ≥ 0.8× single-stream throughput. The
+//! over an interleave, and the benchmark reports interleaved execution
+//! against back-to-back single streams as `sim.mix_overhead`. The
 //! architecture is documented in `docs/DESIGN.md`.
 //!
 //! ## Fault-tolerant execution
@@ -123,9 +123,8 @@
 //! a snapshot cadence streams incremental [`sim::SimStats`] checkpoints
 //! that finish bit-identical to the equivalent batch run.
 //! [`service::Client`] is the in-process client; `xp serve` /
-//! `xp submit` / `xp shutdown` drive it from the command line, and
-//! `xp bench-json`'s `service` section tracks served-vs-batch ingest
-//! throughput.
+//! `xp submit` / `xp shutdown` drive it from the command line, and the
+//! benchmark's `serve` workload drives a daemon open-loop.
 //!
 //! ## Quick start
 //!

@@ -41,12 +41,8 @@ const EXPECT_CEILINGS: &[(&str, usize)] = &[
     // began — same invariant as the sharded executor's worker engines.
     ("crates/sim", 11),
     ("crates/service", 0),
-    // experiments 22 → 23 (ASID PR): the asid-variant kernel in the
-    // multiprogram throughput probe, mirroring its flush twin.
-    // 23 → 25 (trace-format-v2 PR): the raw-vs-compressed replay
-    // kernels in the trace_v2 throughput probe, mirroring the
-    // existing trace-replay kernel's validated-config invariant.
-    ("crates/experiments", 25),
+    // experiments 25 → 8: the throughput telemetry module and its 17 sites are gone.
+    ("crates/experiments", 8),
     ("src", 0),
 ];
 

@@ -242,6 +242,41 @@ fn v2_sharded_replay_is_bit_identical_when_blocks_align_with_the_cuts() {
     }
 }
 
+/// The v2 size gate: the default block encoding of galgel at
+/// `Scale::SMALL` — a strided pointer-chasing stream — must average at
+/// most 6 bytes per record (flat v1 is 17). A regression here means the
+/// encoder stopped exploiting the deltas.
+#[test]
+fn v2_encodes_the_galgel_fixture_under_six_bytes_per_record() {
+    use tlb_distance::experiments::replay::{record_spec, record_spec_with_format, RecordFormat};
+
+    let app = find_app("galgel").expect("galgel is registered");
+    let tmp = |tag: &str| {
+        std::env::temp_dir().join(format!(
+            "tlbsim-differential-size-{}-{tag}.tlbt",
+            std::process::id()
+        ))
+    };
+    let (v1_path, v2_path) = (tmp("v1"), tmp("v2"));
+    let v1 = record_spec(app, Scale::SMALL, None, &v1_path).unwrap();
+    let v2 = record_spec_with_format(
+        app,
+        Scale::SMALL,
+        None,
+        &v2_path,
+        RecordFormat::v2_default(),
+    )
+    .unwrap();
+    std::fs::remove_file(&v1_path).unwrap();
+    std::fs::remove_file(&v2_path).unwrap();
+    assert_eq!(v1.records, v2.records, "both formats hold the same stream");
+    let bytes_per_record = v2.bytes as f64 / v2.records as f64;
+    assert!(
+        bytes_per_record <= 6.0,
+        "v2 must encode galgel@small at <= 6 bytes/record, measured {bytes_per_record:.2}"
+    );
+}
+
 /// The checked-in regression trace: 2000 records of gap at `Scale::TINY`
 /// recorded by `xp record --app gap --scale tiny --limit 2000`. These
 /// bytes were written by a past build, so any encoding or decoding
