@@ -44,11 +44,12 @@
 //! are specified normatively in `docs/PROTOCOL.md`.
 //!
 //! `convert` translates traces between the three on-disk formats (flat
-//! v1 binary, block-compressed v2 binary, line-oriented text). The
-//! *input* format is sniffed from the file's magic bytes and version;
-//! the *output* format is `--format v1|v2|text`, defaulting to the old
-//! sniffed behaviour (any binary becomes text, text becomes v1) so the
-//! bare command stays its own inverse.
+//! v1 binary, block-compressed v2 binary, line-oriented text). An
+//! input with a `TLBT` header is read as binary (the trace crate picks
+//! the version), anything else as text; the *output* format is
+//! `--format v1|v2|text`, defaulting to the old behaviour (any binary
+//! becomes text, text becomes v1) so the bare command stays its own
+//! inverse.
 //!
 //! `record` dumps a registered application model's reference stream to
 //! the binary `TLBT` trace format — flat v1 by default, or delta-block
@@ -103,8 +104,7 @@ use tlbsim_experiments::{
 use tlbsim_service::{Client, JobSpec, Server, ServerConfig};
 use tlbsim_sim::{SwitchPolicy, TablePolicy};
 use tlbsim_trace::{
-    BinaryTraceReader, BinaryTraceWriter, DecodePolicy, TextTraceReader, TextTraceWriter, V2Trace,
-    V2TraceWriter, DEFAULT_BLOCK_LEN, MAGIC, V2_VERSION,
+    DecodePolicy, RecordFormat, TextTraceReader, TextTraceWriter, DEFAULT_BLOCK_LEN,
 };
 use tlbsim_workloads::Scale;
 
@@ -438,20 +438,22 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Resolves `--format`/`--block-len` into a [`replay::RecordFormat`]
-/// for the binary-writing commands (`record`, and `convert`'s binary
-/// outputs). `--block-len` without v2 is a contradiction, not a silent
-/// no-op.
-fn parse_record_format(args: &Args) -> Result<replay::RecordFormat, String> {
-    match args.format.as_deref() {
-        Some("v2") => Ok(replay::RecordFormat::V2 {
-            block_len: args.block_len.unwrap_or(DEFAULT_BLOCK_LEN),
+/// Resolves `--format`/`--block-len` into a [`RecordFormat`] for the
+/// binary-writing commands (`record`, and `convert`'s binary outputs).
+/// `--block-len` without v2 is a contradiction, not a silent no-op.
+fn parse_record_format(
+    format: Option<&str>,
+    block_len: Option<u32>,
+) -> Result<RecordFormat, String> {
+    match format {
+        Some("v2") => Ok(RecordFormat::V2 {
+            block_len: block_len.unwrap_or(DEFAULT_BLOCK_LEN),
         }),
         None | Some("v1") => {
-            if args.block_len.is_some() {
+            if block_len.is_some() {
                 Err("--block-len only applies to --format v2".to_owned())
             } else {
-                Ok(replay::RecordFormat::V1)
+                Ok(RecordFormat::V1)
             }
         }
         Some(other) => Err(format!("--format {other} is not a binary trace format")),
@@ -473,7 +475,7 @@ fn run_record(args: &Args) -> Result<(), String> {
             usage()
         ));
     }
-    let format = parse_record_format(args)?;
+    let format = parse_record_format(args.format.as_deref(), args.block_len)?;
     let summary = replay::record_with_format(app, args.scale, args.limit, &path, format)
         .map_err(|e| format!("record: {e}"))?;
     println!("{}", summary.render());
@@ -751,14 +753,13 @@ fn run_shutdown(args: &Args) -> Result<(), String> {
 }
 
 fn run_convert(args: &Args) -> Result<(), String> {
-    use std::io::{BufWriter, Read as _};
+    use std::io::BufWriter;
     use tlbsim_core::MemoryAccess;
-    use tlbsim_trace::TraceError;
+    use tlbsim_trace::{Trace, TraceError, TraceWriter};
 
     enum Sink {
         Text(TextTraceWriter<BufWriter<std::fs::File>>),
-        V1(BinaryTraceWriter<BufWriter<std::fs::File>>),
-        V2(V2TraceWriter<std::fs::File>),
+        Binary(TraceWriter<std::fs::File>),
     }
 
     let input = args
@@ -769,9 +770,6 @@ fn run_convert(args: &Args) -> Result<(), String> {
         .out
         .as_deref()
         .ok_or_else(|| format!("convert needs --out <path>\n{}", usage()))?;
-    let open = |path: &std::path::Path| {
-        std::fs::File::open(path).map_err(|e| format!("convert: opening {}: {e}", path.display()))
-    };
     let create = |path: &std::path::Path| {
         std::fs::File::create(path)
             .map_err(|e| format!("convert: creating {}: {e}", path.display()))
@@ -779,91 +777,71 @@ fn run_convert(args: &Args) -> Result<(), String> {
     let read_fail = |e: TraceError| format!("convert: reading {}: {e}", input.display());
     let write_fail = |e: TraceError| format!("convert: writing {}: {e}", out.display());
 
-    // Sniff the input: the TLBT magic plus its version word, anything
-    // else is text (version 0 stands for "text" below — no binary
-    // format ever used it).
-    let mut head = [0u8; 6];
-    let sniffed: u16 = {
-        let mut file = open(input)?;
-        if file.read_exact(&mut head).is_ok() && head[0..4] == MAGIC {
-            u16::from_le_bytes([head[4], head[5]])
-        } else {
-            0
+    // Text or binary: anything without a TLBT header is read as text;
+    // a TLBT header of a version this build cannot read is an error,
+    // not a guess.
+    let binary = match Trace::open(input) {
+        Ok(trace) => Some(trace),
+        Err(TraceError::BadMagic { .. } | TraceError::TruncatedHeader { .. }) => None,
+        Err(e) => return Err(read_fail(e)),
+    };
+    // Output format: explicit --format, else the legacy default
+    // (binary -> text, text -> v1) that keeps the bare command its own
+    // inverse.
+    let target = match (args.format.as_deref(), &binary) {
+        (Some(f), _) => f,
+        (None, None) => "v1",
+        (None, Some(_)) => "text",
+    };
+    let format = match target {
+        "text" if args.block_len.is_some() => {
+            return Err("--block-len only applies to --format v2".to_owned())
+        }
+        "text" => None,
+        binary => Some(parse_record_format(Some(binary), args.block_len)?),
+    };
+
+    let (source, src_label): (
+        Box<dyn Iterator<Item = Result<MemoryAccess, TraceError>>>,
+        _,
+    ) = match binary {
+        Some(trace) => (
+            Box::new(trace.cursor()),
+            format!("TLBT v{}", trace.format_version()),
+        ),
+        None => {
+            let file = std::fs::File::open(input)
+                .map_err(|e| format!("convert: opening {}: {e}", input.display()))?;
+            (Box::new(TextTraceReader::open(file)), "text".to_owned())
         }
     };
-    let src_label = match sniffed {
-        0 => "text",
-        1 => "TLBT v1",
-        V2_VERSION => "TLBT v2",
-        _ => "TLBT",
-    };
-
-    // Output format: explicit --format, else the legacy sniffed
-    // default (binary -> text, text -> v1) that keeps the bare command
-    // its own inverse.
-    let target = match args.format.as_deref() {
-        Some(f) => f,
-        None if sniffed == 0 => "v1",
-        None => "text",
-    };
-    if target != "v2" && args.block_len.is_some() {
-        return Err("--block-len only applies to --format v2".to_owned());
-    }
-
-    let source: Box<dyn Iterator<Item = Result<MemoryAccess, TraceError>>> = match sniffed {
-        0 => Box::new(TextTraceReader::open(open(input)?)),
-        V2_VERSION => Box::new(V2Trace::open(input).map_err(read_fail)?.cursor()),
-        // v1 — and any future version, which the reader rejects with a
-        // typed "unsupported trace version" instead of us guessing.
-        _ => Box::new(BinaryTraceReader::open(open(input)?).map_err(read_fail)?),
-    };
-
-    let mut sink = match target {
-        "text" => {
+    let mut sink = match format {
+        Some(format) => {
+            Sink::Binary(TraceWriter::create(create(out)?, format).map_err(write_fail)?)
+        }
+        None => {
             let mut writer = TextTraceWriter::create(BufWriter::new(create(out)?));
             writer
                 .comment(&format!("converted from {}", input.display()))
                 .map_err(write_fail)?;
             Sink::Text(writer)
         }
-        "v1" => {
-            Sink::V1(BinaryTraceWriter::create(BufWriter::new(create(out)?)).map_err(write_fail)?)
-        }
-        "v2" => Sink::V2(
-            V2TraceWriter::create_with_block_len(
-                create(out)?,
-                args.block_len.unwrap_or(DEFAULT_BLOCK_LEN),
-            )
-            .map_err(write_fail)?,
-        ),
-        other => return Err(format!("bad format {other:?}\n{}", usage())),
     };
 
+    let mut records = 0u64;
     for record in source {
         let record = record.map_err(read_fail)?;
         match &mut sink {
             Sink::Text(w) => w.write(&record).map_err(write_fail)?,
-            Sink::V1(w) => w.write(&record).map_err(write_fail)?,
-            Sink::V2(w) => w.write(&record).map_err(write_fail)?,
+            Sink::Binary(w) => w.write(&record).map_err(write_fail)?,
         }
+        records += 1;
     }
-    let records = match sink {
-        Sink::Text(w) => {
-            let records = w.records_written();
-            w.finish().map_err(write_fail)?;
-            records
-        }
-        Sink::V1(w) => {
-            let records = w.records_written();
-            w.finish().map_err(write_fail)?;
-            records
-        }
-        Sink::V2(w) => {
-            let records = w.records_written();
-            w.finish().map_err(write_fail)?;
-            records
-        }
-    };
+    match sink {
+        Sink::Text(w) => w.finish().map(drop),
+        Sink::Binary(w) => w.finish().map(drop),
+    }
+    .map_err(write_fail)?;
     println!(
         "converted {} -> {} ({src_label} -> {target}, {records} records)",
         input.display(),

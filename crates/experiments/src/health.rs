@@ -11,9 +11,7 @@
 
 use std::path::{Path, PathBuf};
 
-use tlbsim_trace::{
-    DecodePolicy, FaultKind, FaultPlan, MmapTrace, TraceError, TraceHealth, V2Trace,
-};
+use tlbsim_trace::{DecodePolicy, FaultKind, FaultPlan, Trace, TraceHealth};
 
 use crate::replay::ReplayError;
 
@@ -61,19 +59,13 @@ impl CheckReport {
 /// census).
 pub fn check(path: impl AsRef<Path>, policy: DecodePolicy) -> Result<CheckReport, ReplayError> {
     let path = path.as_ref();
-    let (grid_records, health) = match MmapTrace::open_with_policy(path, DecodePolicy::lenient()) {
-        Ok(trace) => (trace.record_count(), trace.scan_health()?),
-        // Version sniffing: a v2 header censuses through the block
-        // decoder instead (bad records tally in whole blocks there).
-        Err(TraceError::UnsupportedVersion { found: 2 }) => {
-            let trace = V2Trace::open_with_policy(path, DecodePolicy::lenient())?;
-            (trace.record_count(), trace.scan_health()?)
-        }
-        Err(e) => return Err(e.into()),
-    };
+    // A v2 trace censuses through the block decoder, so its bad
+    // records tally in whole blocks.
+    let trace = Trace::open_with_policy(path, DecodePolicy::lenient())?;
+    let health = trace.scan_health()?;
     Ok(CheckReport {
         path: path.to_owned(),
-        grid_records,
+        grid_records: trace.record_count(),
         health,
         policy,
         admitted: policy.admits(&health),
@@ -142,30 +134,21 @@ pub fn bake(
 ) -> Result<ChaosSummary, ReplayError> {
     let trace = trace.as_ref();
     let out = out.as_ref();
-    let records = match MmapTrace::open(trace) {
-        Ok(source) => {
-            source.validate_records()?;
-            source.record_count()
-        }
-        Err(TraceError::UnsupportedVersion { found: 2 }) => {
-            // A torn tail cannot be baked into a v2 trace: the block
-            // index and footer live at the end of the file, so cutting
-            // bytes there destroys the whole layout (a fatal torn
-            // index, not a quarantinable record) — refuse the plan
-            // instead of baking an unreplayable file.
-            if truncate {
-                return Err(ReplayError::Chaos(
-                    "--truncate tears the v2 block index (fatal under every policy); \
-                     use --corrupt/--wild on v2 traces"
-                        .to_owned(),
-                ));
-            }
-            let source = V2Trace::open(trace)?;
-            source.validate_records()?;
-            source.record_count()
-        }
-        Err(e) => return Err(e.into()),
-    };
+    let source = Trace::open(trace)?;
+    // A torn tail cannot be baked into a v2 trace: the block index and
+    // footer live at the end of the file, so cutting bytes there
+    // destroys the whole layout (a fatal torn index, not a
+    // quarantinable record) — refuse the plan instead of baking an
+    // unreplayable file.
+    if truncate && !source.salvages_torn_tail() {
+        return Err(ReplayError::Chaos(
+            "--truncate tears the v2 block index (fatal under every policy); \
+             use --corrupt/--wild on v2 traces"
+                .to_owned(),
+        ));
+    }
+    source.validate_records()?;
+    let records = source.record_count();
 
     let planned: Vec<(FaultKind, usize)> = [
         (FaultKind::CorruptKind, corrupt),

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use tlbsim_core::MemoryAccess;
 use tlbsim_sim::{resolve_shards, run_app_sharded, sweep, SimConfig, SimError, SweepJob};
-use tlbsim_trace::{BinaryTraceWriter, DecodePolicy, TraceError, TraceHealth, V2TraceWriter};
+pub use tlbsim_trace::RecordFormat;
+use tlbsim_trace::{DecodePolicy, TraceError, TraceHealth, TraceWriter};
 use tlbsim_workloads::{find_app, AppSpec, Scale, TraceWorkload};
 
 use crate::grid::{paper_scheme_grid, GridCell};
@@ -71,29 +72,6 @@ impl From<TraceError> for ReplayError {
 impl From<io::Error> for ReplayError {
     fn from(e: io::Error) -> Self {
         ReplayError::Io(e)
-    }
-}
-
-/// On-disk format selector for [`record`] (`xp record --format`) and
-/// `xp convert --format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordFormat {
-    /// Flat v1 `TLBT`: 17 bytes per record, byte-addressable.
-    V1,
-    /// Block-compressed v2 `TLBT` with the given records per block.
-    V2 {
-        /// Records per block (restart cadence). ≥ 1.
-        block_len: u32,
-    },
-}
-
-impl RecordFormat {
-    /// The default v2 selector ([`tlbsim_trace::DEFAULT_BLOCK_LEN`]
-    /// records per block).
-    pub fn v2_default() -> Self {
-        RecordFormat::V2 {
-            block_len: tlbsim_trace::DEFAULT_BLOCK_LEN,
-        }
     }
 }
 
@@ -180,17 +158,7 @@ pub fn record_spec_with_format(
     path: &Path,
     format: RecordFormat,
 ) -> Result<RecordSummary, ReplayError> {
-    enum Sink {
-        V1(BinaryTraceWriter<std::fs::File>),
-        V2(V2TraceWriter<std::fs::File>),
-    }
-    let file = std::fs::File::create(path)?;
-    let mut sink = match format {
-        RecordFormat::V1 => Sink::V1(BinaryTraceWriter::create(file)?),
-        RecordFormat::V2 { block_len } => {
-            Sink::V2(V2TraceWriter::create_with_block_len(file, block_len)?)
-        }
-    };
+    let mut sink = TraceWriter::create(std::fs::File::create(path)?, format)?;
     let mut workload = spec.workload(scale);
     let mut remaining = limit.unwrap_or(u64::MAX);
     let mut buf = vec![MemoryAccess::read(0, 0); 4096];
@@ -201,25 +169,12 @@ pub fn record_spec_with_format(
             break;
         }
         for access in &buf[..filled] {
-            match &mut sink {
-                Sink::V1(w) => w.write(access)?,
-                Sink::V2(w) => w.write(access)?,
-            }
+            sink.write(access)?;
         }
         remaining -= filled as u64;
     }
-    let records = match sink {
-        Sink::V1(w) => {
-            let records = w.records_written();
-            w.finish()?;
-            records
-        }
-        Sink::V2(w) => {
-            let records = w.records_written();
-            w.finish()?;
-            records
-        }
-    };
+    let records = sink.records_written();
+    sink.finish()?;
     Ok(RecordSummary {
         app: spec.name,
         scale,

@@ -4,15 +4,15 @@
 //! tracestat <file.trace> [--text] [--page-size BYTES] [--skip N] [--take N]
 //! ```
 //!
-//! Reads the binary `TLBT` format by default (`--text` for the line
-//! format) and prints footprint, PC count, read/write mix, and the
+//! Reads the binary `TLBT` format, v1 or v2, by default (`--text` for
+//! the line format) and prints footprint, PC count, read/write mix, and the
 //! inter-page distance profile — the quantities that determine which
 //! prefetching mechanism will work on the trace.
 
 use std::process::ExitCode;
 
 use tlbsim_core::{MemoryAccess, PageSize};
-use tlbsim_trace::{BinaryTraceReader, TextTraceReader, TraceStats, TraceStreamExt};
+use tlbsim_trace::{TextTraceReader, Trace, TraceStats, TraceStreamExt};
 
 struct Args {
     path: String,
@@ -96,25 +96,18 @@ fn summarise(stats: &TraceStats) {
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let file = std::fs::File::open(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
-    let stats = if args.text {
-        let stream = TextTraceReader::open(file)
-            .map(|r| r.map_err(|e| e.to_string()))
-            .collect::<Result<Vec<MemoryAccess>, _>>()?;
-        TraceStats::from_stream(
-            stream.into_iter().window(args.skip, args.take),
-            args.page_size,
-        )
+    let stream = if args.text {
+        let file = std::fs::File::open(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
+        TextTraceReader::open(file).collect::<Result<Vec<MemoryAccess>, _>>()
     } else {
-        let reader = BinaryTraceReader::open(file).map_err(|e| e.to_string())?;
-        let stream = reader
-            .collect::<Result<Vec<MemoryAccess>, _>>()
-            .map_err(|e| e.to_string())?;
-        TraceStats::from_stream(
-            stream.into_iter().window(args.skip, args.take),
-            args.page_size,
-        )
-    };
+        let trace = Trace::open(&args.path).map_err(|e| format!("{}: {e}", args.path))?;
+        trace.cursor().collect()
+    }
+    .map_err(|e| e.to_string())?;
+    let stats = TraceStats::from_stream(
+        stream.into_iter().window(args.skip, args.take),
+        args.page_size,
+    );
     println!("trace                : {}", args.path);
     println!("page size            : {}", args.page_size);
     summarise(&stats);

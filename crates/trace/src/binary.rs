@@ -23,6 +23,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use tlbsim_core::{AccessKind, MemoryAccess};
 
 use crate::error::TraceError;
+use crate::format::{read_header, Version};
 use crate::policy::{DecodePolicy, TraceHealth};
 
 /// Magic bytes opening every binary trace.
@@ -37,6 +38,23 @@ pub const VERSION: u16 = 1;
 pub const RECORD_BYTES: usize = 17;
 /// Size of the magic + version + reserved header.
 pub const HEADER_BYTES: usize = 8;
+
+/// Decodes one record cell (the first [`RECORD_BYTES`] of `raw`): the
+/// layout every v1 reader and the v2 block restart share. `Err` carries
+/// an invalid access-kind byte.
+#[inline]
+pub(crate) fn decode_record(raw: &[u8]) -> Result<MemoryAccess, u8> {
+    let kind = match raw[16] {
+        0 => AccessKind::Read,
+        1 => AccessKind::Write,
+        found => return Err(found),
+    };
+    Ok(MemoryAccess {
+        pc: u64::from_le_bytes(raw[0..8].try_into().expect("8-byte slice")).into(),
+        vaddr: u64::from_le_bytes(raw[8..16].try_into().expect("8-byte slice")).into(),
+        kind,
+    })
+}
 
 /// Streaming writer for the binary trace format.
 ///
@@ -172,25 +190,7 @@ impl<R: Read> BinaryTraceReader<R> {
     /// As for [`BinaryTraceReader::open`].
     pub fn open_with_policy(input: R, policy: DecodePolicy) -> Result<Self, TraceError> {
         let mut input = BufReader::new(input);
-        let mut header = [0u8; HEADER_BYTES];
-        let mut filled = 0;
-        while filled < HEADER_BYTES {
-            match input.read(&mut header[filled..]) {
-                Ok(0) => return Err(TraceError::TruncatedHeader { len: filled as u64 }),
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TraceError::Io(e)),
-            }
-        }
-        if header[0..4] != MAGIC {
-            return Err(TraceError::BadMagic {
-                found: header[0..4].try_into().expect("4-byte slice"),
-            });
-        }
-        let version = u16::from_le_bytes(header[4..6].try_into().expect("2-byte slice"));
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion { found: version });
-        }
+        read_header(&mut input)?.require(Version::V1)?;
         Ok(BinaryTraceReader {
             input,
             read: 0,
@@ -257,15 +257,15 @@ impl<R: Read> BinaryTraceReader<R> {
                     Err(e) => return Err(TraceError::Io(e)),
                 }
             }
-            let kind = match raw[16] {
-                0 => AccessKind::Read,
-                1 => AccessKind::Write,
-                found => match self.policy {
+            match decode_record(&raw) {
+                Ok(access) => {
+                    self.read += 1;
+                    return Ok(Some(access));
+                }
+                Err(found) => match self.policy {
                     DecodePolicy::Strict => return Err(TraceError::InvalidKind { found }),
                     DecodePolicy::Quarantine { max_bad } => {
-                        if self.first_bad.is_none() {
-                            self.first_bad = Some(self.read + self.bad);
-                        }
+                        self.first_bad.get_or_insert(self.read + self.bad);
                         self.bad += 1;
                         if self.bad > max_bad {
                             return Err(TraceError::QuarantineExceeded {
@@ -273,18 +273,9 @@ impl<R: Read> BinaryTraceReader<R> {
                                 max_bad,
                             });
                         }
-                        continue;
                     }
                 },
-            };
-            let pc = u64::from_le_bytes(raw[0..8].try_into().expect("8-byte slice"));
-            let vaddr = u64::from_le_bytes(raw[8..16].try_into().expect("8-byte slice"));
-            self.read += 1;
-            return Ok(Some(MemoryAccess {
-                pc: pc.into(),
-                vaddr: vaddr.into(),
-                kind,
-            }));
+            }
         }
     }
 }

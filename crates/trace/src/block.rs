@@ -29,6 +29,8 @@
 
 use tlbsim_core::{AccessKind, MemoryAccess};
 
+use crate::binary::decode_record;
+
 /// Format version stamped in the header of block-compressed traces.
 pub const V2_VERSION: u16 = 2;
 /// Size of a block's restart record — the block's first record stored
@@ -188,18 +190,12 @@ pub(crate) fn next_record(
         if bytes.len() < RESTART_BYTES {
             return Err(BlockFault::Restart);
         }
-        let pc = u64::from_le_bytes(bytes[0..8].try_into().expect("8-byte slice"));
-        let vaddr = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-        let kind = decode_kind(bytes[16])?;
+        let access = decode_record(bytes).map_err(BlockFault::BadKind)?;
         state.pos = RESTART_BYTES;
         state.emitted = 1;
-        state.prev_pc = pc;
-        state.prev_vaddr = vaddr;
-        return Ok(MemoryAccess {
-            pc: pc.into(),
-            vaddr: vaddr.into(),
-            kind,
-        });
+        state.prev_pc = access.pc.raw();
+        state.prev_vaddr = access.vaddr.raw();
+        return Ok(access);
     }
     let mut pos = state.pos;
     let kind = decode_kind(*bytes.get(pos).ok_or(BlockFault::Payload)?)?;

@@ -14,6 +14,7 @@
 use std::io::{self, Read};
 
 use crate::binary::{HEADER_BYTES, RECORD_BYTES};
+use crate::format::{parse_header, Version};
 
 /// One injectable failure mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,10 +168,7 @@ impl FaultPlan {
     /// the v2 footer, which is fatal under every policy — there is no
     /// quarantinable torn tail to manufacture).
     pub fn apply_to_bytes(&self, bytes: &mut Vec<u8>) {
-        if bytes.len() >= HEADER_BYTES
-            && bytes[0..4] == crate::binary::MAGIC
-            && u16::from_le_bytes([bytes[4], bytes[5]]) == crate::block::V2_VERSION
-        {
+        if matches!(parse_header(bytes), Ok(Version::V2)) {
             crate::v2::bake_faults(bytes, &self.faults);
             return;
         }

@@ -3,6 +3,10 @@
 //! The simulator consumes any `Iterator<Item = MemoryAccess>`; this crate
 //! provides the persistent forms of such streams and tools over them:
 //!
+//! * [`Trace`] / [`TraceCursor`] / [`TraceWriter`] — one entry point
+//!   over both binary versions below: the version is read from the
+//!   header (or chosen by [`RecordFormat`]), so callers never branch on
+//!   the format;
 //! * [`BinaryTraceWriter`] / [`BinaryTraceReader`] — a compact 17-byte
 //!   per-record binary format (`TLBT` magic) that external tracers can
 //!   emit trivially; the normative byte-level specification is
@@ -16,7 +20,7 @@
 //!   block-compressed variant of the same format: records are packed
 //!   into delta-compressed blocks behind a trailing block index, cutting
 //!   corpora to a few bytes per record while keeping O(1) seeks on block
-//!   boundaries, and [`V2TraceCursor::open_streaming`] replays files
+//!   boundaries, and [`V2Trace::open_streaming`] replays files
 //!   larger than RAM through a sliding mapped window;
 //! * [`DecodePolicy`] / [`TraceHealth`] — strict (abort on first fault)
 //!   vs quarantine (skip, count, bound) decode, with a health report of
@@ -62,6 +66,7 @@ mod binary;
 mod block;
 mod error;
 mod fault;
+mod format;
 mod mmap;
 mod policy;
 mod stats;
@@ -77,6 +82,7 @@ pub use block::{
 };
 pub use error::TraceError;
 pub use fault::{wild_vaddr, FaultKind, FaultPlan, FaultyRead, PlannedFault};
+pub use format::{RecordFormat, Trace, TraceCursor, TraceWriter};
 pub use mmap::{MmapTrace, MmapTraceCursor};
 pub use policy::{DecodePolicy, TraceHealth};
 pub use stats::TraceStats;

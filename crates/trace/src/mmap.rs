@@ -23,10 +23,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ::mmap::Mmap;
-use tlbsim_core::{AccessKind, MemoryAccess};
+use tlbsim_core::MemoryAccess;
 
-use crate::binary::{HEADER_BYTES, MAGIC, RECORD_BYTES, VERSION};
+use crate::binary::{decode_record, HEADER_BYTES, RECORD_BYTES};
 use crate::error::TraceError;
+use crate::format::{parse_header, Version};
 use crate::policy::{DecodePolicy, TraceHealth};
 
 /// A validated, memory-mapped binary trace (`TLBT` format).
@@ -124,20 +125,7 @@ impl MmapTrace {
     /// As for [`MmapTrace::open_with_policy`].
     pub fn from_map_with_policy(map: Mmap, policy: DecodePolicy) -> Result<Self, TraceError> {
         let bytes = map.as_bytes();
-        if bytes.len() < HEADER_BYTES {
-            return Err(TraceError::TruncatedHeader {
-                len: bytes.len() as u64,
-            });
-        }
-        if bytes[0..4] != MAGIC {
-            return Err(TraceError::BadMagic {
-                found: bytes[0..4].try_into().expect("4-byte slice"),
-            });
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte slice"));
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion { found: version });
-        }
+        parse_header(bytes)?.require(Version::V1)?;
         let body = bytes.len() - HEADER_BYTES;
         let torn_tail = (body % RECORD_BYTES) as u64;
         if torn_tail != 0 && policy.is_strict() {
@@ -308,19 +296,10 @@ impl MmapTraceCursor {
             .zip(bytes.chunks_exact(RECORD_BYTES))
             .enumerate()
         {
-            let kind = match raw[16] {
-                0 => AccessKind::Read,
-                1 => AccessKind::Write,
-                found => {
-                    self.next += i as u64;
-                    return Err(TraceError::InvalidKind { found });
-                }
-            };
-            *slot = MemoryAccess {
-                pc: u64::from_le_bytes(raw[0..8].try_into().expect("8-byte slice")).into(),
-                vaddr: u64::from_le_bytes(raw[8..16].try_into().expect("8-byte slice")).into(),
-                kind,
-            };
+            *slot = decode_record(raw).map_err(|found| {
+                self.next += i as u64;
+                TraceError::InvalidKind { found }
+            })?;
         }
         self.next += want as u64;
         Ok(want)
@@ -343,33 +322,21 @@ impl MmapTraceCursor {
         let mut filled = 0;
         while filled < buf.len() && self.next < self.records {
             let start = HEADER_BYTES + self.next as usize * RECORD_BYTES;
-            let raw = &bytes[start..start + RECORD_BYTES];
-            let kind = match raw[16] {
-                0 => AccessKind::Read,
-                1 => AccessKind::Write,
-                _ => {
-                    if self.first_bad.is_none() {
-                        self.first_bad = Some(self.next);
-                    }
-                    self.bad_seen += 1;
-                    self.next += 1;
-                    if self.bad_seen > max_bad {
-                        return Err(TraceError::QuarantineExceeded {
-                            bad: self.bad_seen,
-                            max_bad,
-                        });
-                    }
-                    continue;
+            self.next += 1;
+            let Ok(access) = decode_record(&bytes[start..start + RECORD_BYTES]) else {
+                self.first_bad.get_or_insert(self.next - 1);
+                self.bad_seen += 1;
+                if self.bad_seen > max_bad {
+                    return Err(TraceError::QuarantineExceeded {
+                        bad: self.bad_seen,
+                        max_bad,
+                    });
                 }
+                continue;
             };
-            buf[filled] = MemoryAccess {
-                pc: u64::from_le_bytes(raw[0..8].try_into().expect("8-byte slice")).into(),
-                vaddr: u64::from_le_bytes(raw[8..16].try_into().expect("8-byte slice")).into(),
-                kind,
-            };
+            buf[filled] = access;
             filled += 1;
             self.ok_seen += 1;
-            self.next += 1;
         }
         Ok(filled)
     }
@@ -477,7 +444,7 @@ impl Iterator for MmapTraceCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::{BinaryTraceReader, BinaryTraceWriter};
+    use crate::binary::{BinaryTraceReader, BinaryTraceWriter, MAGIC};
 
     fn sample(n: u64) -> Vec<MemoryAccess> {
         (0..n)

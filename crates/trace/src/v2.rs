@@ -12,9 +12,10 @@
 //!   delta decoding to reach — so the sharded executor still cuts a
 //!   trace into worker slices without scanning, provided cuts land on
 //!   block boundaries (`ShardPlan::split_aligned` in `tlbsim-sim`).
-//! * **Larger-than-RAM replay**: [`V2TraceCursor::open_streaming`]
-//!   keeps one `File` open and maps a sliding window of N blocks
-//!   through `Mmap::map_file_range`, advising the kernel of sequential
+//! * **Larger-than-RAM replay**: [`V2Trace::open_streaming`] reads the
+//!   block index once; each of its cursors keeps its own `File` open
+//!   and maps a sliding window of N blocks through
+//!   `Mmap::map_file_range`, advising the kernel of sequential
 //!   readahead — the only allocations on the replay path are the
 //!   window remaps themselves.
 //! * **Block-granular quarantine**: damage inside a block is detected
@@ -42,6 +43,7 @@ use crate::block::{
 };
 use crate::error::TraceError;
 use crate::fault::{wild_vaddr, FaultKind, PlannedFault};
+use crate::format::{parse_header, read_header, Version};
 use crate::policy::{DecodePolicy, TraceHealth};
 
 /// Streaming writer for the v2 block-compressed format.
@@ -201,47 +203,59 @@ impl<W: Write> V2TraceWriter<W> {
 }
 
 /// Validated layout facts shared by every v2 reader.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone)]
 struct Meta {
     /// Records per block (≥ 1 whenever `total` > 0).
     block_len: u64,
     /// Records in the trace.
     total: u64,
-    /// Blocks (= index entries).
-    block_count: u64,
-    /// Absolute byte offset of the block index.
-    index_offset: u64,
+    /// `offsets[i]` is block `i`'s byte offset, with a final sentinel
+    /// at the index offset, so `offsets[i + 1]` always ends block `i`.
+    offsets: Arc<[u64]>,
 }
 
-/// Checks the header bytes of a v2 file (magic + version).
-fn check_header(bytes: &[u8]) -> Result<(), TraceError> {
-    if bytes.len() < HEADER_BYTES {
-        return Err(TraceError::TruncatedHeader {
-            len: bytes.len() as u64,
-        });
+impl std::fmt::Debug for Meta {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Meta")
+            .field("block_len", &self.block_len)
+            .field("total", &self.total)
+            .field("blocks", &(self.offsets.len() - 1))
+            .finish()
     }
-    if bytes[0..4] != MAGIC {
-        return Err(TraceError::BadMagic {
-            found: [bytes[0], bytes[1], bytes[2], bytes[3]],
-        });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != V2_VERSION {
-        return Err(TraceError::UnsupportedVersion { found: version });
-    }
-    Ok(())
 }
 
-/// Validates footer arithmetic and the block index against the file
-/// size. Any inconsistency is [`TraceError::TornIndex`] — fatal under
-/// every policy, because without a trustworthy index there is no block
-/// grid to quarantine on.
-fn validate_layout(
+/// Bytes of the block index `footer` declares, if the index plus
+/// footer end exactly at `file_len` — checked before any entry is
+/// read, so entry accessors never slice out of bounds.
+fn index_extent(footer: &Footer, file_len: u64) -> Option<u64> {
+    let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
+    let end = footer
+        .index_offset
+        .checked_add(index_bytes)?
+        .checked_add(FOOTER_BYTES as u64)?;
+    (end == file_len).then_some(index_bytes)
+}
+
+/// Reads and validates the footer and block index of a `file_len`-byte
+/// v2 file through `read_at(offset, buf)`, which fills `buf` from byte
+/// `offset`. Any inconsistency is [`TraceError::TornIndex`] — fatal
+/// under every policy, because without a trustworthy index there is no
+/// block grid to quarantine on.
+fn read_layout(
     file_len: u64,
-    footer: &Footer,
-    entry: impl Fn(u64) -> (u64, u64),
+    mut read_at: impl FnMut(u64, &mut [u8]) -> io::Result<()>,
 ) -> Result<Meta, TraceError> {
     let torn = |detail: &'static str| TraceError::TornIndex { detail };
+    if file_len < (HEADER_BYTES + FOOTER_BYTES) as u64 {
+        return Err(torn("file too short for a footer"));
+    }
+    let mut tail = [0u8; FOOTER_BYTES];
+    read_at(file_len - FOOTER_BYTES as u64, &mut tail)?;
+    let footer = Footer::parse(&tail).ok_or(torn("footer magic missing"))?;
+    let index_bytes =
+        index_extent(&footer, file_len).ok_or(torn("index extent disagrees with file size"))?;
+    let mut index = vec![0u8; index_bytes as usize];
+    read_at(footer.index_offset, &mut index)?;
     if footer.block_len == 0 && footer.total_records != 0 {
         return Err(torn("zero block length with nonzero record count"));
     }
@@ -256,22 +270,13 @@ fn validate_layout(
     if footer.index_offset < HEADER_BYTES as u64 {
         return Err(torn("index offset inside the header"));
     }
-    let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
-    if footer
-        .index_offset
-        .checked_add(index_bytes)
-        .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
-        != Some(file_len)
-    {
-        return Err(torn("index extent disagrees with file size"));
-    }
-    let mut prev_offset = HEADER_BYTES as u64;
+    let mut offsets = Vec::with_capacity(footer.block_count as usize + 1);
     for i in 0..u64::from(footer.block_count) {
-        let (offset, first) = entry(i);
+        let (offset, first) = block::index_entry(&index, i);
         if i == 0 && offset != HEADER_BYTES as u64 {
             return Err(torn("first block does not start after the header"));
         }
-        if offset < prev_offset {
+        if offsets.last().is_some_and(|&prev| offset < prev) {
             return Err(torn("index offsets are not monotone"));
         }
         if offset > footer.index_offset {
@@ -280,13 +285,13 @@ fn validate_layout(
         if i.checked_mul(u64::from(footer.block_len)) != Some(first) {
             return Err(torn("index record numbering is inconsistent"));
         }
-        prev_offset = offset;
+        offsets.push(offset);
     }
+    offsets.push(footer.index_offset);
     Ok(Meta {
         block_len: u64::from(footer.block_len),
         total: footer.total_records,
-        block_count: u64::from(footer.block_count),
-        index_offset: footer.index_offset,
+        offsets: offsets.into(),
     })
 }
 
@@ -320,9 +325,19 @@ fn validate_layout(
 /// ```
 #[derive(Debug, Clone)]
 pub struct V2Trace {
-    map: Arc<Mmap>,
+    store: Store,
     meta: Meta,
     policy: DecodePolicy,
+}
+
+/// Where a [`V2Trace`]'s cursors read block bytes from.
+#[derive(Debug, Clone)]
+enum Store {
+    /// The whole file, mapped once and shared by every cursor.
+    Mapped(Arc<Mmap>),
+    /// The file at `path`, which each cursor opens for itself and maps
+    /// `window_blocks` blocks at a time.
+    Windowed { path: Arc<Path>, window_blocks: u64 },
 }
 
 impl V2Trace {
@@ -333,8 +348,8 @@ impl V2Trace {
     /// [`TraceError::Io`] if the file cannot be opened;
     /// [`TraceError::TruncatedHeader`] / [`TraceError::BadMagic`] /
     /// [`TraceError::UnsupportedVersion`] for a malformed header (a v1
-    /// file reports `UnsupportedVersion { found: 1 }` here — use the
-    /// version sniffing in `tlbsim-workloads` to dispatch);
+    /// file reports `UnsupportedVersion { found: 1 }` here — open it
+    /// through [`crate::Trace`] to dispatch on the version);
     /// [`TraceError::TornIndex`] if the footer or block index is
     /// missing or inconsistent (truncation at the tail lands here).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
@@ -374,35 +389,46 @@ impl V2Trace {
     /// As for [`V2Trace::open`].
     pub fn from_map_with_policy(map: Mmap, policy: DecodePolicy) -> Result<Self, TraceError> {
         let bytes = map.as_bytes();
-        check_header(bytes)?;
-        if bytes.len() < HEADER_BYTES + FOOTER_BYTES {
-            return Err(TraceError::TornIndex {
-                detail: "file too short for a footer",
-            });
-        }
-        let footer =
-            Footer::parse(&bytes[bytes.len() - FOOTER_BYTES..]).ok_or(TraceError::TornIndex {
-                detail: "footer magic missing",
-            })?;
-        // The index extent is validated before any entry is read, so
-        // the entry accessor below never slices out of bounds.
-        let file_len = bytes.len() as u64;
-        let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
-        if footer
-            .index_offset
-            .checked_add(index_bytes)
-            .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
-            != Some(file_len)
-        {
-            return Err(TraceError::TornIndex {
-                detail: "index extent disagrees with file size",
-            });
-        }
-        let index =
-            &bytes[footer.index_offset as usize..(footer.index_offset + index_bytes) as usize];
-        let meta = validate_layout(file_len, &footer, |i| block::index_entry(index, i))?;
+        parse_header(bytes)?.require(Version::V2)?;
+        let meta = read_layout(bytes.len() as u64, |at, buf| {
+            buf.copy_from_slice(&bytes[at as usize..at as usize + buf.len()]);
+            Ok(())
+        })?;
         Ok(V2Trace {
-            map: Arc::new(map),
+            store: Store::Mapped(Arc::new(map)),
+            meta,
+            policy,
+        })
+    }
+
+    /// Opens a v2 trace for **streaming** replay: the footer and block
+    /// index are validated here, once (8 bytes per block stay in
+    /// memory); each cursor then opens the file for itself and maps a
+    /// sliding window of `window_blocks` (at least 1) blocks, advising
+    /// sequential readahead on every remap — so corpora larger than RAM
+    /// replay in bounded memory.
+    ///
+    /// # Errors
+    ///
+    /// As for [`V2Trace::open`]; additionally [`TraceError::Io`] for
+    /// read failures while loading the footer and index.
+    pub fn open_streaming(
+        path: impl AsRef<Path>,
+        policy: DecodePolicy,
+        window_blocks: u64,
+    ) -> Result<Self, TraceError> {
+        let path = path.as_ref();
+        let mut file = File::open(path)?;
+        read_header(&mut file)?.require(Version::V2)?;
+        let meta = read_layout(file.metadata()?.len(), |at, buf| {
+            file.seek(SeekFrom::Start(at))?;
+            file.read_exact(buf)
+        })?;
+        Ok(V2Trace {
+            store: Store::Windowed {
+                path: Arc::from(path),
+                window_blocks: window_blocks.max(1),
+            },
             meta,
             policy,
         })
@@ -418,9 +444,10 @@ impl V2Trace {
         self.meta.total == 0
     }
 
-    /// Bytes occupied by the mapped file.
+    /// Bytes occupied by the file.
     pub fn byte_len(&self) -> u64 {
-        self.map.as_bytes().len() as u64
+        let index_offset = self.meta.offsets[self.meta.offsets.len() - 1];
+        index_offset + self.block_count() * INDEX_ENTRY_BYTES as u64 + FOOTER_BYTES as u64
     }
 
     /// Records per block (the final block may hold fewer). Zero only
@@ -432,13 +459,16 @@ impl V2Trace {
 
     /// Number of blocks (= index entries).
     pub fn block_count(&self) -> u64 {
-        self.meta.block_count
+        self.meta.offsets.len() as u64 - 1
     }
 
-    /// Which backend serves the bytes (`"mmap"` or the `"read"`
-    /// fallback).
+    /// Which backend serves the bytes: `"mmap"`, the `"read"`
+    /// fallback, or `"mmap-window"` for a streaming trace.
     pub fn backend(&self) -> &'static str {
-        self.map.backend().label()
+        match &self.store {
+            Store::Mapped(map) => map.backend().label(),
+            Store::Windowed { .. } => "mmap-window",
+        }
     }
 
     /// The decode policy this trace was opened under (inherited by its
@@ -455,14 +485,24 @@ impl V2Trace {
 
     /// A fresh cursor decoding under an explicit policy.
     pub fn cursor_with_policy(&self, policy: DecodePolicy) -> V2TraceCursor {
-        V2TraceCursor {
-            blocks: BlockSource::Whole {
-                map: Arc::clone(&self.map),
-                index_offset: self.meta.index_offset,
-                block_count: self.meta.block_count,
+        let blocks = match &self.store {
+            Store::Mapped(map) => BlockSource::Whole(Arc::clone(map)),
+            Store::Windowed {
+                path,
+                window_blocks,
+            } => BlockSource::Windowed {
+                path: Arc::clone(path),
+                file: None,
+                window: Mmap::from_vec(Vec::new()),
+                window_first: 0,
+                window_count: 0,
+                window_blocks: *window_blocks,
             },
+        };
+        V2TraceCursor {
+            blocks,
+            meta: self.meta.clone(),
             block_len: self.meta.block_len.max(1),
-            total: self.meta.total,
             policy,
             next: 0,
             ok_seen: 0,
@@ -505,22 +545,14 @@ impl V2Trace {
 }
 
 /// Where a cursor gets block bytes from: the whole mapped file, or a
-/// sliding window remapped over an open file.
+/// sliding window remapped over the file at `path` (opened at the
+/// first remap).
+#[derive(Debug)]
 enum BlockSource {
-    /// The whole file is mapped; block extents come from the in-file
-    /// index.
-    Whole {
-        map: Arc<Mmap>,
-        index_offset: u64,
-        block_count: u64,
-    },
-    /// A window of blocks is mapped at a time; the index was read into
-    /// memory at open (`offsets[i]` = block `i`'s byte offset, with a
-    /// final sentinel at the index offset, so `offsets[i + 1]` always
-    /// ends block `i`).
+    Whole(Arc<Mmap>),
     Windowed {
-        file: File,
-        offsets: Vec<u64>,
+        path: Arc<Path>,
+        file: Option<File>,
         window: Mmap,
         window_first: u64,
         window_count: u64,
@@ -528,51 +560,16 @@ enum BlockSource {
     },
 }
 
-impl std::fmt::Debug for BlockSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BlockSource::Whole { block_count, .. } => f
-                .debug_struct("Whole")
-                .field("block_count", block_count)
-                .finish(),
-            BlockSource::Windowed {
-                window_first,
-                window_count,
-                window_blocks,
-                ..
-            } => f
-                .debug_struct("Windowed")
-                .field("window_first", window_first)
-                .field("window_count", window_count)
-                .field("window_blocks", window_blocks)
-                .finish(),
-        }
-    }
-}
-
 impl BlockSource {
-    /// The bytes of block `block`, remapping the window if needed.
-    fn bytes(&mut self, block: u64) -> Result<&[u8], TraceError> {
+    /// The bytes of block `block` (extents from the trace's block
+    /// `offsets`), remapping the window if needed.
+    fn bytes(&mut self, offsets: &[u64], block: u64) -> Result<&[u8], TraceError> {
+        let (start, end) = (offsets[block as usize], offsets[block as usize + 1]);
         match self {
-            BlockSource::Whole {
-                map,
-                index_offset,
-                block_count,
-            } => {
-                let all = map.as_bytes();
-                let index = &all[*index_offset as usize
-                    ..(*index_offset + *block_count * INDEX_ENTRY_BYTES as u64) as usize];
-                let (start, _) = block::index_entry(index, block);
-                let end = if block + 1 < *block_count {
-                    block::index_entry(index, block + 1).0
-                } else {
-                    *index_offset
-                };
-                Ok(&all[start as usize..end as usize])
-            }
+            BlockSource::Whole(map) => Ok(&map.as_bytes()[start as usize..end as usize]),
             BlockSource::Windowed {
+                path,
                 file,
-                offsets,
                 window,
                 window_first,
                 window_count,
@@ -580,11 +577,13 @@ impl BlockSource {
             } => {
                 let in_window = block >= *window_first && block < *window_first + *window_count;
                 if !in_window {
-                    let block_count = offsets.len() as u64 - 1;
-                    let count = (*window_blocks).min(block_count - block);
-                    let start = offsets[block as usize];
-                    let end = offsets[(block + count) as usize];
-                    let map = Mmap::map_file_range(file, start, (end - start) as usize)?;
+                    let file = match file {
+                        Some(file) => file,
+                        None => file.insert(File::open(&**path)?),
+                    };
+                    let count = (*window_blocks).min(offsets.len() as u64 - 1 - block);
+                    let window_end = offsets[(block + count) as usize];
+                    let map = Mmap::map_file_range(file, start, (window_end - start) as usize)?;
                     // Replay is overwhelmingly forward-sequential; tell
                     // the kernel so it reads ahead of the cursor and
                     // drops pages behind it.
@@ -595,18 +594,8 @@ impl BlockSource {
                     *window_count = count;
                 }
                 let base = offsets[*window_first as usize];
-                let start = (offsets[block as usize] - base) as usize;
-                let end = (offsets[block as usize + 1] - base) as usize;
-                Ok(&window.as_bytes()[start..end])
+                Ok(&window.as_bytes()[(start - base) as usize..(end - base) as usize])
             }
-        }
-    }
-
-    /// Which backend serves the bytes right now.
-    fn backend(&self) -> &'static str {
-        match self {
-            BlockSource::Whole { map, .. } => map.backend().label(),
-            BlockSource::Windowed { window, .. } => window.backend().label(),
         }
     }
 }
@@ -625,16 +614,18 @@ fn fault_error(fault: BlockFault, block: u64) -> TraceError {
 /// `decode_batch` / `skip_records` / `seek` contract the simulator's
 /// replay seam consumes.
 ///
-/// Obtained from [`V2Trace::cursor`] (whole-file mapping) or
-/// [`V2TraceCursor::open_streaming`] (sliding mapped window over an
-/// open file, for corpora larger than RAM). Steady-state decode into a
+/// Obtained from [`V2Trace::cursor`]: over the whole-file mapping, or,
+/// for a trace opened with [`V2Trace::open_streaming`], through a
+/// sliding mapped window over the file (for corpora larger than RAM).
+/// Steady-state decode into a
 /// caller-owned batch buffer performs **zero heap allocations**; in
 /// streaming mode the window remaps are the only allocation site.
 #[derive(Debug)]
 pub struct V2TraceCursor {
     blocks: BlockSource,
+    meta: Meta,
+    /// `meta.block_len`, at least 1.
     block_len: u64,
-    total: u64,
     policy: DecodePolicy,
     /// Absolute record index (on the raw grid, counting quarantined
     /// records) of the next record to yield.
@@ -647,98 +638,6 @@ pub struct V2TraceCursor {
 }
 
 impl V2TraceCursor {
-    /// Opens a **streaming** cursor over a v2 trace file: the footer
-    /// and block index are read and validated up front (the index is
-    /// held in memory — 16 bytes per block), and block payloads are
-    /// consumed through a sliding mapped window of `window_blocks`
-    /// blocks, remapped forward as the cursor advances. Nothing close
-    /// to the whole file is ever resident, so corpora larger than RAM
-    /// replay in bounded memory.
-    ///
-    /// `window_blocks` is clamped to at least 1. Each remap advises the
-    /// kernel of sequential readahead.
-    ///
-    /// # Errors
-    ///
-    /// As for [`V2Trace::open`]; additionally [`TraceError::Io`] for
-    /// read failures while loading the footer and index.
-    pub fn open_streaming(
-        path: impl AsRef<Path>,
-        policy: DecodePolicy,
-        window_blocks: u64,
-    ) -> Result<Self, TraceError> {
-        let mut file = File::open(path)?;
-        let file_len = file.metadata().map_err(TraceError::Io)?.len();
-        let mut header = [0u8; HEADER_BYTES];
-        let took = file.read(&mut header)?;
-        check_header(&header[..took])?;
-        if file_len < (HEADER_BYTES + FOOTER_BYTES) as u64 {
-            return Err(TraceError::TornIndex {
-                detail: "file too short for a footer",
-            });
-        }
-        file.seek(SeekFrom::End(-(FOOTER_BYTES as i64)))?;
-        let mut tail = [0u8; FOOTER_BYTES];
-        file.read_exact(&mut tail)?;
-        let footer = Footer::parse(&tail).ok_or(TraceError::TornIndex {
-            detail: "footer magic missing",
-        })?;
-        let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
-        if footer
-            .index_offset
-            .checked_add(index_bytes)
-            .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
-            != Some(file_len)
-        {
-            return Err(TraceError::TornIndex {
-                detail: "index extent disagrees with file size",
-            });
-        }
-        file.seek(SeekFrom::Start(footer.index_offset))?;
-        let mut index = vec![0u8; index_bytes as usize];
-        file.read_exact(&mut index)?;
-        let meta = validate_layout(file_len, &footer, |i| block::index_entry(&index, i))?;
-        let mut offsets: Vec<u64> = (0..meta.block_count)
-            .map(|i| block::index_entry(&index, i).0)
-            .collect();
-        offsets.push(meta.index_offset);
-        Ok(V2TraceCursor {
-            blocks: BlockSource::Windowed {
-                file,
-                offsets,
-                window: Mmap::from_vec(Vec::new()),
-                window_first: 0,
-                window_count: 0,
-                window_blocks: window_blocks.max(1),
-            },
-            block_len: meta.block_len.max(1),
-            total: meta.total,
-            policy,
-            next: 0,
-            ok_seen: 0,
-            bad_seen: 0,
-            blocks_bad: 0,
-            first_bad: None,
-            state: DecodeState::none(),
-        })
-    }
-
-    /// Number of records in the trace this cursor walks.
-    pub fn record_count(&self) -> u64 {
-        self.total
-    }
-
-    /// Records per block of the underlying trace.
-    pub fn block_len(&self) -> u64 {
-        self.block_len
-    }
-
-    /// Which backend currently serves the bytes (for a streaming
-    /// cursor, the current window's).
-    pub fn backend(&self) -> &'static str {
-        self.blocks.backend()
-    }
-
     /// Fills `buf` with the next records, returning how many were
     /// written; zero means the trace is exhausted. Same contract as
     /// [`crate::MmapTraceCursor::decode_batch`], including the panic on
@@ -773,13 +672,13 @@ impl V2TraceCursor {
             }
         }
         let mut filled = 0usize;
-        while filled < buf.len() && self.next < self.total {
+        while filled < buf.len() && self.next < self.meta.total {
             let block = self.next / self.block_len;
             let block_first = block * self.block_len;
-            let block_records = self.block_len.min(self.total - block_first);
+            let block_records = self.block_len.min(self.meta.total - block_first);
             let target = self.next - block_first;
             self.resync_state(block, target);
-            let bytes = self.blocks.bytes(block)?;
+            let bytes = self.blocks.bytes(&self.meta.offsets, block)?;
             if let DecodePolicy::Quarantine { max_bad } = self.policy {
                 if !self.state.checked {
                     if block::validate(bytes, block_records).is_err() {
@@ -848,19 +747,19 @@ impl V2TraceCursor {
     pub fn skip_records(&mut self, n: u64) -> u64 {
         match self.policy {
             DecodePolicy::Strict => {
-                let skipped = n.min(self.total - self.next);
+                let skipped = n.min(self.meta.total - self.next);
                 self.next += skipped;
                 skipped
             }
             DecodePolicy::Quarantine { .. } => {
                 let mut skipped = 0u64;
-                while skipped < n && self.next < self.total {
+                while skipped < n && self.next < self.meta.total {
                     let block = self.next / self.block_len;
                     let block_first = block * self.block_len;
-                    let block_records = self.block_len.min(self.total - block_first);
+                    let block_records = self.block_len.min(self.meta.total - block_first);
                     let target = self.next - block_first;
                     self.resync_state(block, target);
-                    let Ok(bytes) = self.blocks.bytes(block) else {
+                    let Ok(bytes) = self.blocks.bytes(&self.meta.offsets, block) else {
                         // A streaming remap failure cannot be reported
                         // from the infallible skip contract; stop here
                         // and let the next decode surface the error.
@@ -900,7 +799,7 @@ impl V2TraceCursor {
     /// the end of the trace). O(1); any delta decoding needed to reach
     /// a mid-block position happens lazily at the next decode.
     pub fn seek(&mut self, record: u64) {
-        self.next = record.min(self.total);
+        self.next = record.min(self.meta.total);
     }
 
     /// The index of the next record to decode (on the raw grid — under
@@ -912,7 +811,7 @@ impl V2TraceCursor {
     /// Grid records left to walk (under quarantine an upper bound on
     /// the records a decode will yield).
     pub fn remaining(&self) -> u64 {
-        self.total - self.next
+        self.meta.total - self.next
     }
 
     /// The decode policy this cursor runs under.
@@ -951,7 +850,7 @@ impl Iterator for V2TraceCursor {
             Ok(_) => Some(Ok(one[0])),
             Err(e) => {
                 // Don't re-report the same record forever.
-                self.next = (self.next + 1).min(self.total);
+                self.next = (self.next + 1).min(self.meta.total);
                 Some(Err(e))
             }
         }
@@ -978,15 +877,7 @@ pub(crate) fn bake_faults(bytes: &mut [u8], faults: &[PlannedFault]) {
     let Some(footer) = Footer::parse(&bytes[bytes.len() - FOOTER_BYTES..]) else {
         return;
     };
-    let file_len = bytes.len() as u64;
-    let index_bytes = u64::from(footer.block_count) * INDEX_ENTRY_BYTES as u64;
-    if footer
-        .index_offset
-        .checked_add(index_bytes)
-        .and_then(|v| v.checked_add(FOOTER_BYTES as u64))
-        != Some(file_len)
-        || footer.block_len == 0
-    {
+    if index_extent(&footer, bytes.len() as u64).is_none() || footer.block_len == 0 {
         return;
     }
     for fault in faults {
@@ -1253,10 +1144,12 @@ mod tests {
         let path = std::env::temp_dir().join(format!("tlbt-v2-stream-{}", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
         for window_blocks in [1u64, 2, 7, 1000] {
-            let mut cursor =
-                V2TraceCursor::open_streaming(&path, DecodePolicy::Strict, window_blocks).unwrap();
-            assert_eq!(cursor.record_count(), 1111);
-            assert_eq!(cursor.block_len(), 32);
+            let trace =
+                V2Trace::open_streaming(&path, DecodePolicy::Strict, window_blocks).unwrap();
+            assert_eq!(trace.record_count(), 1111);
+            assert_eq!(trace.block_len(), 32);
+            assert_eq!(trace.backend(), "mmap-window");
+            let mut cursor = trace.cursor();
             assert_eq!(drain(&mut cursor), records, "window {window_blocks}");
             // Seek backwards across windows and replay a slice.
             cursor.seek(40);
@@ -1280,7 +1173,9 @@ mod tests {
         );
         let path = std::env::temp_dir().join(format!("tlbt-v2-streamq-{}", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let mut cursor = V2TraceCursor::open_streaming(&path, DecodePolicy::lenient(), 2).unwrap();
+        let mut cursor = V2Trace::open_streaming(&path, DecodePolicy::lenient(), 2)
+            .unwrap()
+            .cursor();
         let got = drain(&mut cursor);
         // Record 100 is in block 6 (records 96..112).
         let want: Vec<MemoryAccess> = records[..96]

@@ -1,14 +1,16 @@
 //! Property tests: both trace codecs round-trip arbitrary records, the
 //! two formats agree with each other, the mmap reader agrees with the
-//! streaming reader, and malformed inputs always surface as typed
+//! streaming reader, the version-sniffing [`Trace`] agrees with the
+//! per-version readers, and malformed inputs always surface as typed
 //! [`TraceError`]s — never panics or silent short reads.
 
+use mmap::Mmap;
 use proptest::prelude::*;
 use tlbsim_core::{AccessKind, MemoryAccess};
 use tlbsim_trace::{
     BinaryTraceReader, BinaryTraceWriter, DecodePolicy, FaultKind, FaultPlan, MmapTrace,
-    TextTraceReader, TextTraceWriter, TraceError, TraceStreamExt, V2Trace, V2TraceWriter,
-    HEADER_BYTES, RECORD_BYTES,
+    RecordFormat, TextTraceReader, TextTraceWriter, Trace, TraceError, TraceStreamExt, TraceWriter,
+    V2Trace, V2TraceWriter, HEADER_BYTES, MAGIC, RECORD_BYTES,
 };
 
 fn encode(records: &[MemoryAccess]) -> Vec<u8> {
@@ -447,6 +449,32 @@ proptest! {
     }
 
     #[test]
+    fn trace_writer_matches_the_per_version_writers(
+        records in prop::collection::vec(arb_access(), 0..200),
+    ) {
+        // TraceWriter emits exactly the per-version writer's bytes, and
+        // the sniffing reader decodes them back to the same records.
+        for (format, want) in [
+            (RecordFormat::V1, encode(&records)),
+            (RecordFormat::V2 { block_len: 16 }, encode_v2(&records, 16)),
+        ] {
+            let mut w = TraceWriter::create(Vec::new(), format).unwrap();
+            for r in &records {
+                w.write(r).unwrap();
+            }
+            prop_assert_eq!(w.records_written(), records.len() as u64);
+            let bytes = w.finish().unwrap();
+            prop_assert_eq!(&bytes, &want);
+            let got: Vec<MemoryAccess> = Trace::from_map(Mmap::from_vec(bytes))
+                .unwrap()
+                .cursor()
+                .map(|r| r.unwrap())
+                .collect();
+            prop_assert_eq!(&got, &records);
+        }
+    }
+
+    #[test]
     fn window_equals_skip_take(
         records in prop::collection::vec(arb_access(), 0..100),
         skip in 0u64..50,
@@ -464,5 +492,116 @@ proptest! {
             .take(take as usize)
             .collect();
         prop_assert_eq!(via_window, via_std);
+    }
+}
+
+fn sample(n: u64) -> Vec<MemoryAccess> {
+    (0..n)
+        .map(|i| {
+            if i % 3 == 0 {
+                MemoryAccess::write(0x400 + i, i * 4096 + 64)
+            } else {
+                MemoryAccess::read(0x400 + i, i * 4096)
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn trace_sniff_agrees_with_the_per_version_readers() {
+    let records = sample(100);
+    let cases = [
+        ("v1", encode(&records), 1u16, 1u64),
+        ("v2", encode_v2(&records, 16), 2, 16),
+        ("empty-v1", encode(&[]), 1, 1),
+        ("empty-v2", encode_v2(&[], 16), 2, 16),
+    ];
+    for (name, bytes, version, alignment) in cases {
+        let want: Vec<MemoryAccess> = match version {
+            1 => MmapTrace::from_map(Mmap::from_vec(bytes.clone()))
+                .unwrap()
+                .cursor()
+                .map(|r| r.unwrap())
+                .collect(),
+            _ => V2Trace::from_map(Mmap::from_vec(bytes.clone()))
+                .unwrap()
+                .cursor()
+                .map(|r| r.unwrap())
+                .collect(),
+        };
+        let trace = Trace::from_map(Mmap::from_vec(bytes.clone())).unwrap();
+        assert_eq!(trace.format_version(), version, "{name}");
+        assert_eq!(trace.seek_alignment(), alignment, "{name}");
+        assert_eq!(trace.record_count(), want.len() as u64, "{name}");
+        assert_eq!(trace.scan_health().unwrap().records_ok, want.len() as u64);
+        let got: Vec<MemoryAccess> = trace.cursor().map(|r| r.unwrap()).collect();
+        assert_eq!(got, want, "{name}");
+
+        // From a file, whole-mapped and streamed through a window.
+        let path =
+            std::env::temp_dir().join(format!("tlbsim-sniff-{}-{name}.tlbt", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let streamed = Trace::open_streaming(&path, DecodePolicy::Strict, 2).unwrap();
+        // Only v2 has a block index to window over; v1 maps whole.
+        assert_eq!(streamed.backend() == "mmap-window", version == 2, "{name}");
+        for trace in [Trace::open(&path).unwrap(), streamed] {
+            assert_eq!(trace.format_version(), version, "{name}");
+            let mut cursor = trace.cursor();
+            let mut batch = vec![MemoryAccess::read(0, 0); 7];
+            let mut got = Vec::new();
+            loop {
+                let n = cursor.decode_batch(&mut batch).unwrap();
+                if n == 0 {
+                    break;
+                }
+                got.extend_from_slice(&batch[..n]);
+            }
+            assert_eq!(got, want, "{name} via {}", trace.backend());
+            assert_eq!(cursor.health().records_ok, want.len() as u64);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// The errors `bytes` produce through every [`Trace`] opener.
+fn sniff_errors(bytes: &[u8]) -> Vec<TraceError> {
+    let path = std::env::temp_dir().join(format!(
+        "tlbsim-sniff-bad-{}-{}.tlbt",
+        std::process::id(),
+        bytes.len()
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let errors = [
+        Trace::from_map(Mmap::from_vec(bytes.to_vec())),
+        Trace::open(&path),
+        Trace::open_streaming(&path, DecodePolicy::lenient(), 4),
+    ]
+    .into_iter()
+    .map(|opened| opened.expect_err("a bad header must not open"))
+    .collect();
+    std::fs::remove_file(&path).unwrap();
+    errors
+}
+
+#[test]
+fn trace_sniff_rejects_bad_headers_with_typed_errors() {
+    for e in sniff_errors(&MAGIC[..3]) {
+        assert!(matches!(e, TraceError::TruncatedHeader { len: 3 }), "{e}");
+    }
+    let mut bad_magic = encode(&sample(3));
+    bad_magic[0] = b'X';
+    for e in sniff_errors(&bad_magic) {
+        assert!(
+            matches!(e, TraceError::BadMagic { found } if found[0] == b'X'),
+            "{e}"
+        );
+    }
+    let mut v3 = encode(&sample(3));
+    v3[4..6].copy_from_slice(&3u16.to_le_bytes());
+    for e in sniff_errors(&v3) {
+        assert!(
+            matches!(e, TraceError::UnsupportedVersion { found: 3 }),
+            "{e}"
+        );
     }
 }

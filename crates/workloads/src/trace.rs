@@ -1,24 +1,21 @@
 //! Recorded traces as first-class workloads.
 //!
-//! [`TraceWorkload`] adapts a recorded trace — v1 flat grid or v2
-//! block-compressed, sniffed from the header — to the [`StreamSpec`] /
-//! [`Workload`] surface, so a trace recorded from a real machine (or
-//! dumped from a synthetic model with `xp record`) drives `run_app`,
-//! `sweep` and `run_app_sharded` exactly like a registered application:
-//! replay decodes record batches zero-copy out of the mapped file into
-//! the engines' batch buffers, and sharded replay seeks each worker's
-//! cursor in O(1) — on the fixed 17-byte cells of v1, or on the block
-//! index of v2 (whose [`StreamSpec::seek_alignment`] steers shard cuts
-//! onto block boundaries). [`TraceWorkload::open_streaming`] replays v2
-//! corpora larger than RAM through a sliding mapped window.
+//! [`TraceWorkload`] adapts a recorded trace of any version (opened as
+//! a `tlbsim-trace` [`Trace`]) to the [`StreamSpec`] / [`Workload`]
+//! surface, so a trace recorded from a real machine (or dumped from a
+//! synthetic model with `xp record`) drives `run_app`, `sweep` and
+//! `run_app_sharded` exactly like a registered application: replay
+//! decodes record batches zero-copy out of the mapped file into the
+//! engines' batch buffers, and sharded replay seeks each worker's
+//! cursor without decoding a prefix, at the granularity
+//! [`StreamSpec::seek_alignment`] reports. [`TraceWorkload::open_streaming`]
+//! replays corpora larger than RAM through a sliding mapped window.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use tlbsim_core::MemoryAccess;
-use tlbsim_trace::{
-    DecodePolicy, MmapTrace, MmapTraceCursor, TraceError, TraceHealth, V2Trace, V2TraceCursor,
-};
+use tlbsim_trace::{DecodePolicy, Trace, TraceCursor, TraceError, TraceHealth};
 
 use crate::gen::{AccessSource, Workload};
 use crate::scale::Scale;
@@ -73,32 +70,14 @@ use crate::spec::StreamSpec;
 #[derive(Debug, Clone)]
 pub struct TraceWorkload {
     name: Arc<str>,
-    trace: AnyTrace,
+    trace: Trace,
     health: TraceHealth,
-}
-
-/// The format-dispatched handle behind a [`TraceWorkload`]: v1 flat
-/// grid, v2 whole-file mapping, or v2 streamed through a window.
-#[derive(Debug, Clone)]
-enum AnyTrace {
-    V1(MmapTrace),
-    V2(V2Trace),
-    /// Each replay re-opens its own streaming cursor over the file; the
-    /// layout facts were validated (and the body fully scanned) at
-    /// workload-open time.
-    V2Streaming {
-        path: PathBuf,
-        policy: DecodePolicy,
-        window_blocks: u64,
-        block_len: u64,
-    },
 }
 
 impl TraceWorkload {
     /// Opens and fully validates a trace file under the default strict
     /// policy; the workload's name is the file stem. The format version
-    /// (v1 flat grid or v2 block-compressed) is sniffed from the
-    /// header.
+    /// (v1 flat grid or v2 block-compressed) is read from the header.
     ///
     /// # Errors
     ///
@@ -109,16 +88,12 @@ impl TraceWorkload {
         Self::open_with_policy(path, DecodePolicy::Strict)
     }
 
-    /// Opens a v2 trace for **streaming** replay: each replay cursor
-    /// maps a sliding window of `window_blocks` blocks instead of the
-    /// whole file, so corpora larger than RAM run in bounded memory.
-    /// The body is still scanned once at open (through the same
-    /// window), so replay itself cannot fail mid-simulation and the
-    /// health report is complete.
-    ///
-    /// A v1 file falls back to the whole-file mapping — the v1 grid has
-    /// no block index to window over; the kernel pages the mapping as
-    /// needed.
+    /// Opens a trace for **streaming** replay (see
+    /// [`Trace::open_streaming`]): each replay cursor maps a sliding
+    /// window of `window_blocks` blocks instead of the whole file, so
+    /// corpora larger than RAM run in bounded memory. The body is still
+    /// scanned once at open (through the same window), so replay itself
+    /// cannot fail mid-simulation and the health report is complete.
     ///
     /// # Errors
     ///
@@ -129,26 +104,7 @@ impl TraceWorkload {
         window_blocks: u64,
     ) -> Result<Self, TraceError> {
         let path = path.as_ref();
-        match V2TraceCursor::open_streaming(path, policy, window_blocks) {
-            Ok(mut cursor) => {
-                let block_len = cursor.block_len();
-                let health = scan_streaming(&mut cursor)?;
-                Ok(TraceWorkload {
-                    name: stem_name(path),
-                    trace: AnyTrace::V2Streaming {
-                        path: path.to_path_buf(),
-                        policy,
-                        window_blocks,
-                        block_len,
-                    },
-                    health,
-                })
-            }
-            Err(TraceError::UnsupportedVersion { found: 1 }) => {
-                Self::open_with_policy(path, policy)
-            }
-            Err(e) => Err(e),
-        }
+        Self::scanned(path, Trace::open_streaming(path, policy, window_blocks)?)
     }
 
     /// Opens a trace file under an explicit [`DecodePolicy`].
@@ -171,61 +127,20 @@ impl TraceWorkload {
         policy: DecodePolicy,
     ) -> Result<Self, TraceError> {
         let path = path.as_ref();
-        let name = stem_name(path);
-        match MmapTrace::open_with_policy(path, policy) {
-            Ok(trace) => {
-                let health = trace.scan_health()?;
-                Ok(TraceWorkload {
-                    name,
-                    trace: AnyTrace::V1(trace),
-                    health,
-                })
-            }
-            Err(TraceError::UnsupportedVersion { found: 2 }) => {
-                let trace = V2Trace::open_with_policy(path, policy)?;
-                let health = trace.scan_health()?;
-                Ok(TraceWorkload {
-                    name,
-                    trace: AnyTrace::V2(trace),
-                    health,
-                })
-            }
-            Err(e) => Err(e),
-        }
+        Self::scanned(path, Trace::open_with_policy(path, policy)?)
     }
 
-    /// Wraps an already-mapped trace under an explicit name, running
-    /// the same full-body scan as [`TraceWorkload::open`] under the
-    /// trace's own decode policy.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::InvalidKind`] on the first corrupt record (strict
-    /// traces) or [`TraceError::QuarantineExceeded`] past the budget
-    /// (quarantine traces).
-    pub fn from_trace(name: impl Into<String>, trace: MmapTrace) -> Result<Self, TraceError> {
+    /// Runs the open-time full-body scan under the trace's own policy
+    /// and names the workload after the file stem.
+    fn scanned(path: &Path, trace: Trace) -> Result<Self, TraceError> {
         let health = trace.scan_health()?;
+        let name = path
+            .file_stem()
+            .map(|stem| stem.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "trace".to_owned());
         Ok(TraceWorkload {
-            name: Arc::from(name.into()),
-            trace: AnyTrace::V1(trace),
-            health,
-        })
-    }
-
-    /// Wraps an already-validated v2 trace under an explicit name,
-    /// running the same full-body scan under the trace's own decode
-    /// policy.
-    ///
-    /// # Errors
-    ///
-    /// The first block's typed damage error (strict traces) or
-    /// [`TraceError::QuarantineExceeded`] past the budget (quarantine
-    /// traces).
-    pub fn from_v2_trace(name: impl Into<String>, trace: V2Trace) -> Result<Self, TraceError> {
-        let health = trace.scan_health()?;
-        Ok(TraceWorkload {
-            name: Arc::from(name.into()),
-            trace: AnyTrace::V2(trace),
+            name: Arc::from(name),
+            trace,
             health,
         })
     }
@@ -253,55 +168,19 @@ impl TraceWorkload {
     /// Which backend serves the bytes (`"mmap"` or the `"read"`
     /// fallback). A streaming workload reports `"mmap-window"`.
     pub fn backend(&self) -> &'static str {
-        match &self.trace {
-            AnyTrace::V1(t) => t.backend(),
-            AnyTrace::V2(t) => t.backend(),
-            AnyTrace::V2Streaming { .. } => "mmap-window",
-        }
+        self.trace.backend()
     }
 
     /// The trace's format version (1 = flat grid, 2 = block-compressed).
     pub fn format_version(&self) -> u16 {
-        match &self.trace {
-            AnyTrace::V1(_) => 1,
-            AnyTrace::V2(_) | AnyTrace::V2Streaming { .. } => 2,
-        }
+        self.trace.format_version()
     }
 
     /// A fresh replay of the whole trace.
     pub fn workload(&self) -> Workload {
-        let cursor = match &self.trace {
-            AnyTrace::V1(t) => AnyCursor::V1(t.cursor()),
-            AnyTrace::V2(t) => AnyCursor::V2(t.cursor()),
-            AnyTrace::V2Streaming {
-                path,
-                policy,
-                window_blocks,
-                ..
-            } => AnyCursor::V2(
-                V2TraceCursor::open_streaming(path, *policy, *window_blocks)
-                    .expect("streaming trace was validated at open"),
-            ),
-        };
+        let cursor = self.trace.cursor();
         Workload::from_source(self.name.to_string(), Box::new(TraceSource { cursor }))
     }
-}
-
-/// The file stem as a workload name.
-fn stem_name(path: &Path) -> Arc<str> {
-    Arc::from(
-        path.file_stem()
-            .map(|stem| stem.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "trace".to_owned()),
-    )
-}
-
-/// Drains a streaming cursor once for its complete health report —
-/// the open-time scan that lets replay itself never fail.
-fn scan_streaming(cursor: &mut V2TraceCursor) -> Result<TraceHealth, TraceError> {
-    let mut buf = [MemoryAccess::read(0, 0); 512];
-    while cursor.decode_batch(&mut buf)? != 0 {}
-    Ok(cursor.health())
 }
 
 impl StreamSpec for TraceWorkload {
@@ -322,24 +201,14 @@ impl StreamSpec for TraceWorkload {
     }
 
     fn seek_alignment(&self) -> u64 {
-        match &self.trace {
-            AnyTrace::V1(_) => 1,
-            AnyTrace::V2(t) => t.block_len().max(1),
-            AnyTrace::V2Streaming { block_len, .. } => (*block_len).max(1),
-        }
+        self.trace.seek_alignment()
     }
 }
 
-/// The [`AccessSource`] driving a trace replay: one format-dispatched
-/// cursor, decoded batch-wise straight out of the mapping (or window).
+/// The [`AccessSource`] driving a trace replay: one cursor, decoded
+/// batch-wise straight out of the mapping (or window).
 struct TraceSource {
-    cursor: AnyCursor,
-}
-
-/// A v1 or v2 cursor behind one batch-decode surface.
-enum AnyCursor {
-    V1(MmapTraceCursor),
-    V2(V2TraceCursor),
+    cursor: TraceCursor,
 }
 
 impl AccessSource for TraceSource {
@@ -350,21 +219,13 @@ impl AccessSource for TraceSource {
         // it) — so a decode error here means the bytes changed under
         // the mapping (the file was modified concurrently), not a state
         // this process can recover from mid-simulation.
-        match &mut self.cursor {
-            AnyCursor::V1(c) => c
-                .decode_batch(buf)
-                .expect("trace records were scanned at open"),
-            AnyCursor::V2(c) => c
-                .decode_batch(buf)
-                .expect("trace records were scanned at open"),
-        }
+        self.cursor
+            .decode_batch(buf)
+            .expect("trace records were scanned at open")
     }
 
     fn skip(&mut self, n: u64) -> u64 {
-        match &mut self.cursor {
-            AnyCursor::V1(c) => c.skip_records(n),
-            AnyCursor::V2(c) => c.skip_records(n),
-        }
+        self.cursor.skip_records(n)
     }
 }
 

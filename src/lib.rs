@@ -59,10 +59,10 @@
 //! ## Trace-driven execution
 //!
 //! The paper's methodology is trace-driven, and recorded traces are a
-//! first-class input here: [`trace::MmapTrace`] memory-maps a binary
-//! `TLBT` file (via the one `unsafe`-bearing shim crate;
-//! read-whole-file fallback elsewhere), validates it once, and decodes
-//! record batches zero-copy into the engines' buffers;
+//! first-class input here: [`trace::Trace`] memory-maps a binary
+//! `TLBT` file of either version (via the one `unsafe`-bearing shim
+//! crate; read-whole-file fallback elsewhere), validates it once, and
+//! decodes record batches zero-copy into the engines' buffers;
 //! [`workloads::TraceWorkload`] adapts a trace to the
 //! [`workloads::StreamSpec`] surface so [`sim::run_app`],
 //! [`sim::sweep`] and [`sim::run_app_sharded`] accept application

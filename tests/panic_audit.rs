@@ -25,17 +25,17 @@ const EXPECT_CEILINGS: &[(&str, usize)] = &[
     ("crates/core", 3),
     ("crates/mmu", 1),
     ("crates/mem", 0),
-    // trace 10 → 18 (trace-format-v2 PR): eight fixed-width
-    // `try_into().expect("N-byte slice")` conversions in block.rs when
-    // decoding restart records, the footer and index entries — the
-    // same infallible slice-to-array idiom mmap.rs and binary.rs
-    // already carry, bounds-checked by the enclosing length guards.
-    ("crates/trace", 18),
-    // workloads 14 → 16 (trace-format-v2 PR): two validated-at-open
-    // invariants in the v2 arms of TraceWorkload — the streaming
-    // cursor and whole-map health were both established by `open`
-    // before any replay can reach them.
-    ("crates/workloads", 16),
+    // trace 18 → 8: the header is parsed by one function without slice
+    // conversions, and one record-cell decoder replaced the copies in
+    // mmap.rs, binary.rs and the v2 restart. What is left are
+    // fixed-width `try_into().expect("N-byte slice")` conversions (that
+    // decoder, the footer and index entries), bounds-checked by the
+    // enclosing length guards.
+    ("crates/trace", 8),
+    // workloads 16 → 14: TraceWorkload replays through one format-hiding
+    // cursor, so the per-version decode `expect` and the re-opened
+    // streaming cursor's `expect` collapsed into a single site.
+    ("crates/workloads", 14),
     // sim 9 → 11 (ASID PR): two `Engine::new(config).expect(...)` in the
     // mix executors, where the config was validated before any work
     // began — same invariant as the sharded executor's worker engines.
